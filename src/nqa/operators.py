@@ -4,11 +4,24 @@ An operator is a pruned mapping word -> float coefficient; words are an
 orthonormal basis under the normalized Frobenius pairing
 <A, B> = 2^-m tr(A^T B), so decomposition is coefficient readout.
 
+Every operator's terms pass one check (`_kept`): a non-finite
+coefficient raises NumericError, and coefficients at or below PRUNE_TOL
+are pruned.  Terms are then kept in the canonical order of
+`words.order_key` (the label order), computed without building labels.
+
 Two independent routes exist on purpose.  The symbolic route multiplies
 words by the twisted XOR rule and never touches a matrix.  The dense route
 (`to_dense`) builds Kronecker products of the four 2x2 blocks, and vector
 application uses the signed-permutation action
 B(alpha, beta)|x> = (-1)^(beta . x) |x xor alpha> without forming a matrix.
+
+`op_mul` has two paths that agree bit for bit.  Products of fewer than
+_PACKED_MIN_PAIRS term pairs, and all products on more than 32 slots, take
+a scalar loop, one word_mul per term pair.  The rest run on the packed
+engine: `words.packed_mul` is broadcast over blocks of term pairs and the
+contributions are added into direct bins (when 4^m is at most the pair
+count) or into a sorted array of the words met so far.  `from_dense` also
+hands its coefficients to the operator as packed arrays.
 
 Structured forms with deliberately unexpanded factors live here too:
 FactoredOperator (a plain product of factors) and ProductReflection
@@ -17,22 +30,30 @@ FactoredOperator (a plain product of factors) and ProductReflection
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DenseCapError, DimensionError, HomogeneityError
+from .errors import DenseCapError, DimensionError, HomogeneityError, NumericError
 from .words import (
     BlockIndex,
     NqaWord,
     epsilon,
+    packed_mul,
+    packed_order_key,
     parity,
     parity_table,
     word_mul,
     word_transpose,
 )
+
+# Bound under a private name: the constructor calls the key once per term,
+# and the benchmark tracer (bench/tracing.py) wraps every public function
+# it finds in a module, which would cost more than the key itself.
+from .words import order_key as _order_key
 
 __all__ = [
     "PRUNE_TOL",
@@ -60,6 +81,13 @@ __all__ = [
 PRUNE_TOL = 1e-14
 DENSE_CAP = 12
 
+# op_mul runs on the packed engine from this many term pairs up (and m <=
+# 32).  Measured crossover: the packed path has a fixed cost of ~0.1 ms,
+# which is what the scalar loop spends on ~30 pairs.
+_PACKED_MIN_PAIRS = 32
+# Term pairs handed to one packed_mul call; working memory is ~50 bytes a pair.
+_CHUNK_PAIRS = 1 << 14
+
 _BLOCK_2X2 = {
     BlockIndex.I: np.array([[1.0, 0.0], [0.0, 1.0]]),
     BlockIndex.X: np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -71,6 +99,17 @@ _BLOCK_2X2 = {
 def _check_dense_cap(m: int) -> None:
     if m > DENSE_CAP:
         raise DenseCapError(f"dense conversion capped at m <= {DENSE_CAP}, got m={m}")
+
+
+def _kept(coeff: float) -> bool:
+    """Whether a merged coefficient survives pruning at PRUNE_TOL.
+
+    Every operator's terms pass through here, so a NaN or an infinity is
+    an error instead of a pruned or plausible-looking term.
+    """
+    if not math.isfinite(coeff):
+        raise NumericError(f"non-finite coefficient {coeff} in an operator")
+    return abs(coeff) > PRUNE_TOL
 
 
 def word_to_dense(word: NqaWord) -> np.ndarray:
@@ -85,9 +124,11 @@ def word_to_dense(word: NqaWord) -> np.ndarray:
 class NqaOperator:
     """Real linear combination of words on a fixed slot count.
 
-    Terms are pruned at PRUNE_TOL and kept sorted by word literal, so
-    iteration, equality, and serialization are deterministic regardless of
-    construction order.  Instances are treated as immutable values.
+    Terms are pruned at PRUNE_TOL and kept sorted by word literal (the
+    order of words.order_key), so iteration, equality, and serialization
+    are deterministic regardless of construction order.  A non-finite
+    coefficient raises NumericError.  Instances are treated as immutable
+    values.
     """
 
     __slots__ = ("m", "_terms")
@@ -101,9 +142,32 @@ class NqaOperator:
             if word.m != m:
                 raise DimensionError(f"word {word.label} has {word.m} slots, operator has {m}")
             acc[word] = acc.get(word, 0.0) + float(coeff)
-        kept = {w: c for w, c in acc.items() if abs(c) > PRUNE_TOL}
+        kept = sorted((w for w, c in acc.items() if _kept(c)), key=_order_key)
+        self._assign(m, {w: acc[w] for w in kept})
+
+    @classmethod
+    def _from_packed(cls, m: int, alpha: np.ndarray, beta: np.ndarray, coeffs: np.ndarray) -> "NqaOperator":
+        """Operator of distinct packed words on m <= 32 slots, already merged.
+
+        The array-wise twin of the constructor: the same finiteness check,
+        pruning and canonical order, and every kept word is built (and
+        range-checked) by NqaWord.
+        """
+        if not 1 <= m <= 32:
+            raise DimensionError(f"packed operator terms need 1 <= m <= 32, got m={m}")
+        order = np.argsort(packed_order_key(alpha, beta))
+        terms = {
+            NqaWord(m, x, z): c
+            for x, z, c in zip(alpha[order].tolist(), beta[order].tolist(), coeffs[order].tolist())
+            if _kept(c)
+        }
+        out = object.__new__(cls)
+        out._assign(m, terms)
+        return out
+
+    def _assign(self, m: int, terms: dict[NqaWord, float]) -> None:
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", dict(sorted(kept.items(), key=lambda kv: kv[0].label)))
+        object.__setattr__(self, "_terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("NqaOperator is immutable")
@@ -273,8 +337,22 @@ class NqaOperator:
 
 
 def op_mul(a: NqaOperator, b: NqaOperator) -> NqaOperator:
-    """Operator product via the twisted word rule, term pair by term pair."""
+    """Operator product via the twisted word rule.
+
+    Products of at least _PACKED_MIN_PAIRS term pairs on m <= 32 slots run
+    on the packed engine (`_op_mul_packed`); smaller ones, and every product
+    on more slots, take the scalar loop (`_op_mul_scalar`), one word_mul
+    per term pair.  Both add each result word's contributions in the same
+    pair order (a's terms, then b's, in canonical order), so they agree bit
+    for bit.
+    """
     a._require_same_m(b)
+    if a.m <= 32 and len(a) * len(b) >= _PACKED_MIN_PAIRS:
+        return _op_mul_packed(a, b)
+    return _op_mul_scalar(a, b)
+
+
+def _op_mul_scalar(a: NqaOperator, b: NqaOperator) -> NqaOperator:
     acc: dict[NqaWord, float] = {}
     for wu, cu in a.items():
         for wv, cv in b.items():
@@ -282,6 +360,56 @@ def op_mul(a: NqaOperator, b: NqaOperator) -> NqaOperator:
             contrib = cu * cv if sign > 0 else -(cu * cv)
             acc[w] = acc.get(w, 0.0) + contrib
     return NqaOperator(a.m, acc)
+
+
+def _packed_terms(op: NqaOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = len(op)
+    alpha = np.fromiter((w.alpha for w in op._terms), np.uint64, n)
+    beta = np.fromiter((w.beta for w in op._terms), np.uint64, n)
+    return alpha, beta, np.fromiter(op._terms.values(), np.float64, n)
+
+
+def _op_mul_packed(a: NqaOperator, b: NqaOperator) -> NqaOperator:
+    """op_mul by broadcasting packed_mul over row blocks of a's terms.
+
+    Each result word is keyed alpha << m | beta and its sum lives in one
+    slot of `sums`.  With 4^m at most the pair count the slots are direct
+    bins, one per possible word; otherwise `keys` holds the sorted words
+    met so far and grows block by block.  np.add.at adds in index order,
+    which is the scalar loop's pair order, so the sums are bit-identical.
+    A block has _CHUNK_PAIRS pairs, or as many as `keys` has entries when
+    that is more, so each merge costs no more than the block it merges.
+    """
+    m = a.m
+    a_alpha, a_beta, a_coeff = _packed_terms(a)
+    b_alpha, b_beta, b_coeff = _packed_terms(b)
+    binned = 1 << 2 * m <= len(a) * len(b)
+    keys = np.empty(0, np.uint64)
+    sums = np.zeros(1 << 2 * m if binned else 0)
+    start = 0
+    # an overflow leaves a non-finite sum, which _from_packed rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < len(a):
+            rows = max(1, max(_CHUNK_PAIRS, len(keys)) // len(b))
+            block = slice(start, start + rows)
+            start += rows
+            sign, alpha, beta = packed_mul(a_alpha[block, None], a_beta[block, None], b_alpha, b_beta)
+            contrib = np.multiply.outer(a_coeff[block], b_coeff)
+            np.negative(contrib, out=contrib, where=sign.astype(bool))
+            word_keys = ((alpha << m) | beta).ravel()
+            if binned:
+                slots = word_keys.astype(np.intp)
+            else:
+                merged = np.union1d(keys, word_keys)
+                grown = np.zeros(len(merged))
+                grown[np.searchsorted(merged, keys)] = sums
+                keys, sums = merged, grown
+                slots = np.searchsorted(keys, word_keys)
+            np.add.at(sums, slots, contrib.ravel())
+    if binned:
+        hit = np.flatnonzero(sums)
+        keys, sums = hit.astype(np.uint64), sums[hit]
+    return NqaOperator._from_packed(m, keys >> m, keys & ((1 << m) - 1), sums)
 
 
 def tensor(a: NqaOperator, b: NqaOperator) -> NqaOperator:
@@ -378,12 +506,11 @@ def from_dense(matrix, *, tol: float = PRUNE_TOL) -> NqaOperator:
     gathered = np.empty((n, n))
     for alpha in range(n):
         gathered[alpha] = M[idx ^ alpha, idx]
-    coeffs = _walsh_last_axis(gathered) / n
-    acc: dict[NqaWord, float] = {}
-    for alpha in range(n):
-        for beta in np.flatnonzero(np.abs(coeffs[alpha]) > tol):
-            acc[NqaWord(m, alpha, int(beta))] = float(coeffs[alpha, beta])
-    return NqaOperator(m, acc)
+    coeffs = (_walsh_last_axis(gathered) / n).ravel()
+    # keys alpha << m | beta; NaN and infinities are kept for the operator's check
+    hit = np.flatnonzero(~(np.abs(coeffs) <= tol))
+    keys = hit.astype(np.uint64)
+    return NqaOperator._from_packed(m, keys >> m, keys & (n - 1), coeffs[hit])
 
 
 def to_dense(obj) -> np.ndarray:

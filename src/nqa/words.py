@@ -20,9 +20,15 @@ word multiplication is associative with B(0, 0) as the identity.  The
 symmetric bicharacter epsilon(g, h) = (-1)^(b.a' + b'.a) records whether
 two words commute (+1) or anticommute (-1).
 
+The canonical order of words is the order of their labels, I < W < X < Z
+in each slot with slot 1 most significant.  Per slot that is the numeric
+order of the two-bit digit ((x ^ z) << 1) | z, so `order_key` and its
+packed twin sort words by integer comparison, with no label string built.
+
 Scalar functions operate on NqaWord objects and arbitrary m; the packed_*
-functions are the vectorized engine over numpy uint64 lanes (m <= 64) that
-also backs dense application and decomposition elsewhere.
+functions are the vectorized engine over numpy uint64 lanes (m <= 64, and
+m <= 32 for packed_order_key) that backs the operator product, dense
+application and decomposition elsewhere.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ __all__ = [
     "epsilon",
     "degree",
     "parity",
+    "order_key",
     "packed_mul",
+    "packed_order_key",
     "packed_transpose_parity",
     "parity_table",
 ]
@@ -191,6 +199,16 @@ def parity(u: NqaWord) -> int:
     return (u.alpha.bit_count() + u.beta.bit_count()) & 1
 
 
+def order_key(u: NqaWord) -> int:
+    """Integer whose order among words of one m is the order of their labels.
+
+    Slot k contributes the base-4 digit ((x ^ z) << 1) | z, which is 0, 1,
+    2, 3 for I, W, X, Z; reading the bits of a mask as base-4 digits spreads
+    them to the even bit positions.
+    """
+    return (int(format(u.alpha ^ u.beta, "b"), 4) << 1) | int(format(u.beta, "b"), 4)
+
+
 # ---------------------------------------------------------------------------
 # Packed vector engine: words as parallel uint64 lanes, m <= 64.
 
@@ -216,6 +234,32 @@ def packed_mul(
     au, bu, av, bv = map(_as_packed, (alpha_u, beta_u, alpha_v, beta_v))
     sign_parity = (np.bitwise_count(bu & av) & 1).astype(np.uint8)
     return sign_parity, au ^ av, bu ^ bv
+
+
+_SPREAD_STEPS = tuple(
+    (shift, _PACKED_DTYPE(mask))
+    for shift, mask in (
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )
+)
+
+
+def _spread_bits(x: np.ndarray) -> np.ndarray:
+    """Move bit k of each 32-bit lane to bit 2k."""
+    x = x & _PACKED_DTYPE(0xFFFFFFFF)
+    for shift, mask in _SPREAD_STEPS:
+        x = (x | (x << _PACKED_DTYPE(shift))) & mask
+    return x
+
+
+def packed_order_key(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """order_key on packed words with m <= 32, as uint64."""
+    a, b = map(_as_packed, (alpha, beta))
+    return (_spread_bits(a ^ b) << _PACKED_DTYPE(1)) | _spread_bits(b)
 
 
 def packed_transpose_parity(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:

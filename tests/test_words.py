@@ -13,7 +13,9 @@ from nqa import (
     degree,
     epsilon,
     omega,
+    order_key,
     packed_mul,
+    packed_order_key,
     packed_transpose_parity,
     parity,
     word_mul,
@@ -188,6 +190,41 @@ def test_packed_transpose_parity_matches_scalar():
     for k in range(0, n, 31):
         sign, _ = word_transpose(NqaWord(64, int(alpha[k]), int(beta[k])))
         assert (-1) ** int(par[k]) == sign
+
+
+def _packed_keys(words):
+    alpha = np.array([w.alpha for w in words], dtype=np.uint64)
+    beta = np.array([w.beta for w in words], dtype=np.uint64)
+    return packed_order_key(alpha, beta)
+
+
+def test_order_key_is_label_order_exhaustive_m3():
+    for m in (1, 2, 3):
+        words = [NqaWord(m, a, b) for a in range(1 << m) for b in range(1 << m)]
+        by_label = sorted(words, key=lambda w: w.label)
+        assert sorted(words, key=order_key) == by_label
+        keys = _packed_keys(words)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [order_key(w) for w in words]
+        assert [words[i] for i in np.argsort(keys)] == by_label
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 70), st.data())
+def test_order_key_is_label_order_property(m, data):
+    bits = st.integers(0, (1 << m) - 1)
+    u = NqaWord(m, data.draw(bits), data.draw(bits))
+    v = NqaWord(m, data.draw(bits), data.draw(bits))
+    assert (order_key(u) < order_key(v)) == (u.label < v.label)
+    assert (order_key(u) == order_key(v)) == (u == v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 32), st.data())
+def test_packed_order_key_matches_scalar(m, data):
+    bits = st.integers(0, (1 << m) - 1)
+    words = data.draw(st.lists(st.builds(NqaWord, st.just(m), bits, bits), min_size=1, max_size=40))
+    assert _packed_keys(words).tolist() == [order_key(w) for w in words]
 
 
 def test_str_and_repr():
