@@ -9,11 +9,14 @@ coefficient raises NumericError, and coefficients at or below PRUNE_TOL
 are pruned.  Terms are then kept in the canonical order of
 `words.order_key` (the label order), computed without building labels.
 
-Two independent routes exist on purpose.  The symbolic route multiplies
-words by the twisted XOR rule and never touches a matrix.  The dense route
-(`to_dense`) builds Kronecker products of the four 2x2 blocks, and vector
-application uses the signed-permutation action
-B(alpha, beta)|x> = (-1)^(beta . x) |x xor alpha> without forming a matrix.
+The symbolic route multiplies words by the twisted XOR rule and never
+touches a matrix.  The dense route rests on the signed-permutation action
+B(alpha, beta)|x> = (-1)^(beta . x) |x xor alpha>: `to_dense` scatters
+every term's n entries into the matrix with one np.add.at per block of
+terms, and `apply` uses the same action on a vector without forming a
+matrix.  Independent oracles that build words as Kronecker products of the
+four 2x2 blocks live outside the package, in tests/helpers.py and
+bench/reference.py.
 
 `op_mul` has two paths that agree bit for bit.  Products of fewer than
 _PACKED_MIN_PAIRS term pairs, and all products on more than 32 slots, take
@@ -39,7 +42,6 @@ import numpy as np
 
 from .errors import DenseCapError, DimensionError, HomogeneityError, NumericError
 from .words import (
-    BlockIndex,
     NqaWord,
     epsilon,
     packed_mul,
@@ -88,12 +90,9 @@ _PACKED_MIN_PAIRS = 32
 # Term pairs handed to one packed_mul call; working memory is ~50 bytes a pair.
 _CHUNK_PAIRS = 1 << 14
 
-_BLOCK_2X2 = {
-    BlockIndex.I: np.array([[1.0, 0.0], [0.0, 1.0]]),
-    BlockIndex.X: np.array([[0.0, 1.0], [1.0, 0.0]]),
-    BlockIndex.Z: np.array([[1.0, 0.0], [0.0, -1.0]]),
-    BlockIndex.W: np.array([[0.0, -1.0], [1.0, 0.0]]),
-}
+# Matrix entries written by one np.add.at call in to_dense; working memory
+# beyond the output is ~30 bytes an entry.
+_CHUNK_ENTRIES = 1 << 14
 
 
 def _check_dense_cap(m: int) -> None:
@@ -113,12 +112,9 @@ def _kept(coeff: float) -> bool:
 
 
 def word_to_dense(word: NqaWord) -> np.ndarray:
-    """Kronecker product of the word's 2x2 blocks, slot 1 most significant."""
-    _check_dense_cap(word.m)
-    out = np.array([[1.0]])
-    for block in word.blocks():
-        out = np.kron(out, _BLOCK_2X2[block])
-    return out
+    """The word's signed permutation matrix (Kronecker product of its 2x2
+    blocks, slot 1 most significant)."""
+    return NqaOperator.from_word(word).to_dense()
 
 
 class NqaOperator:
@@ -301,12 +297,28 @@ class NqaOperator:
     # -- dense route ---------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:
+        """Dense matrix by scatter: word B(alpha, beta) puts (-1)^(beta . x)
+        at row x xor alpha of column x.
+
+        np.add.at adds in index order, term by term in canonical order and
+        starting from 0.0, so every entry is the same sum, bit for bit, as
+        adding the words' Kronecker matrices one after another.  Terms go
+        in blocks of about _CHUNK_ENTRIES entries.
+        """
         _check_dense_cap(self.m)
         n = 1 << self.m
-        out = np.zeros((n, n))
-        for word, coeff in self.items():
-            out += coeff * word_to_dense(word)
-        return out
+        out = np.zeros(n * n)
+        alpha, beta, coeff = _packed_terms(self)
+        cols = np.arange(n)
+        x = cols.astype(np.uint64)
+        step = max(1, _CHUNK_ENTRIES >> self.m)
+        for start in range(0, len(coeff), step):
+            block = slice(start, start + step)
+            flat = (alpha[block, None] ^ x).astype(np.intp) << self.m
+            flat |= cols
+            odd = np.bitwise_count(beta[block, None] & x) & 1
+            np.add.at(out, flat, np.where(odd, -coeff[block, None], coeff[block, None]))
+        return out.reshape(n, n)
 
     def apply(self, vec) -> np.ndarray:
         """Apply to a state vector by signed permutations, no matrix built."""
@@ -631,20 +643,13 @@ class ProductReflection:
         return out if self.scale > 0 else -out
 
     def projector(self) -> NqaOperator:
-        out = NqaOperator.identity(self.m)
-        for f in self.factors:
-            out = op_mul(out, f)
-        return out
+        return FactoredOperator(self.m, self.factors).expand()
 
     def expand(self) -> NqaOperator:
         out = NqaOperator.identity(self.m) - 2.0 * self.projector()
         return out if self.scale > 0 else -out
 
     def to_dense(self) -> np.ndarray:
-        _check_dense_cap(self.m)
-        n = 1 << self.m
-        prod = np.eye(n)
-        for f in self.factors:
-            prod = prod @ f.to_dense()
-        out = np.eye(n) - 2.0 * prod
+        prod = FactoredOperator(self.m, self.factors).to_dense()
+        out = np.eye(1 << self.m) - 2.0 * prod
         return out if self.scale > 0 else -out

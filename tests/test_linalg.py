@@ -1,4 +1,7 @@
-"""Dense helpers and the hand-rolled symmetric eigensolver."""
+"""The max-norm helper and the hand-rolled symmetric eigensolver."""
+
+import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -7,32 +10,21 @@ from helpers import random_orthogonal
 from nqa import (
     DimensionError,
     NumericError,
-    determinant,
-    mat_mul,
-    mat_transpose,
-    mat_vec,
     max_norm,
     sym_eigenvalues,
 )
+from nqa import linalg
+
+
+def _close_to_eigvalsh(a):
+    want = np.linalg.eigvalsh(a)
+    return np.max(np.abs(sym_eigenvalues(a) - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 def test_mat_helpers_match_numpy():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 7))
-    b = rng.normal(size=(7, 3))
-    v = rng.normal(size=7)
-    assert np.allclose(mat_mul(a, b), a @ b)
-    assert np.allclose(mat_transpose(a), a.T)
-    assert np.allclose(mat_vec(a, v), a @ v)
     assert max_norm(a) == np.max(np.abs(a))
-
-
-def test_mat_shape_errors():
-    a = np.zeros((2, 3))
-    with pytest.raises(DimensionError):
-        mat_mul(a, np.zeros((2, 2)))
-    with pytest.raises(DimensionError):
-        mat_vec(a, np.zeros(2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64])
@@ -52,7 +44,7 @@ def test_spectrum_invariants_small():
         a = (s + s.T) / 2.0
         eig = sym_eigenvalues(a)
         assert abs(np.sum(eig) - np.trace(a)) <= 1e-10 * max(1.0, np.abs(eig).sum())
-        assert abs(np.prod(eig) - determinant(a)) <= 1e-8 * max(1.0, abs(np.prod(eig)))
+        assert abs(np.prod(eig) - np.linalg.det(a)) <= 1e-8 * max(1.0, abs(np.prod(eig)))
 
 
 def test_degenerate_and_diagonal():
@@ -63,16 +55,86 @@ def test_degenerate_and_diagonal():
 
 
 def test_rejects_nonsymmetric():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(NumericError):
-        sym_eigenvalues(a)
+    for scale in (1.0, 1e-100):
+        with pytest.raises(NumericError, match="symmetric"):
+            sym_eigenvalues(np.array([[0.0, scale], [0.0, 0.0]]))
     with pytest.raises(DimensionError):
         sym_eigenvalues(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="finite"):
+            sym_eigenvalues(np.array([[1.0, bad], [bad, 0.0]]))
+        with pytest.raises(NumericError, match="finite"):
+            sym_eigenvalues(np.array([[bad]]))
 
 
-def test_determinant_matches_numpy():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 3, 5, 8):
-        a = rng.normal(size=(n, n))
-        assert abs(determinant(a) - np.linalg.det(a)) <= 1e-9 * max(1.0, abs(np.linalg.det(a)))
-    assert determinant(np.zeros((3, 3))) == 0.0
+@pytest.mark.parametrize("n", range(2, 10))
+def test_round_robin_visits_every_pair_once(n):
+    seen = []
+    for p, q in linalg._round_robin(n):
+        assert np.all(p < q)
+        assert len(set(p.tolist()) | set(q.tolist())) == 2 * len(p)
+        seen += zip(p.tolist(), q.tolist())
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_off_diagonal_mass_does_not_cancel():
+    # sum(A*A) - sum(diag**2) gives 0 here: 1e-18 is below the ulp of 2e16
+    a = np.array([[1e8, 1e-9], [1e-9, -1e8]])
+    assert linalg._off_diagonal(a) == pytest.approx(np.sqrt(2.0) * 1e-9, rel=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4])
+def test_random_n128_converges_without_warnings(seed):
+    # before the off-diagonal mass was measured directly, these three raised
+    # NumericError after 100 sweeps, with overflow warnings from tau**2
+    g = np.random.default_rng(seed).standard_normal((128, 128))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _close_to_eigvalsh(g + g.T)
+
+
+def test_cap_size_finishes():
+    n = linalg.MAX_EIG_DIM
+    g = np.random.default_rng(n).standard_normal((n, n))
+    assert _close_to_eigvalsh(g + g.T)
+
+
+def test_above_cap_rejected_before_any_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("a rotation ran")
+
+    monkeypatch.setattr(linalg, "_rotate", no_sweep)
+    n = linalg.MAX_EIG_DIM + 1
+    with pytest.raises(DimensionError, match=f"n={n}"):
+        sym_eigenvalues(np.eye(n))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1e160, 1e159], [1e159, 0.0]],
+        [[1e-160, 3e-161], [3e-161, 2e-160]],
+        [[1.0, 1.0, 1e-15], [1.0, 1e10, 1.0], [1e-15, 1.0, -1e-5]],
+    ],
+)
+def test_scale_extremes_match_eigvalsh(a):
+    a = np.array(a)
+    want = np.linalg.eigvalsh(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sym_eigenvalues(a)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_reports_sweeps_and_residual(monkeypatch, caplog):
+    g = np.random.default_rng(1).standard_normal((16, 16))
+    a = g + g.T
+    with caplog.at_level(logging.DEBUG, logger="nqa"):
+        sym_eigenvalues(a)
+    (record,) = [r for r in caplog.records if r.name == "nqa"]
+    assert record.levelno == logging.DEBUG
+    assert "n=16" in record.getMessage() and "sweeps, off-diagonal" in record.getMessage()
+
+    monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+    with pytest.raises(NumericError, match=r"in 1 sweeps: off-diagonal \S+ above threshold \S+"):
+        sym_eigenvalues(a)
