@@ -7,11 +7,12 @@ steps linear in m plus the factor count, never touching a vector.  A wire
 appearing an even number of times cancels (Z^2 = 1): the recovered secret
 is the XOR of the factor list.
 
-Grover's oracle and diffusion are kept as rank-one-update reflections with
-O(2^m) application cost and linear-size structured descriptions; the
-expanded diffusion would have 2^m block terms.  Spectral analysis reduces
-an orthogonal iterate to its symmetric part, whose eigenvalues are the
-cosines of the rotation phases.
+Grover's oracle and diffusion are rank-one Reflections (patterns: the
+marked string; '+' on every slot with scale -1), each applied in O(2^m)
+work and described by m one-slot projectors; the expanded diffusion would
+have 2^m block terms.  Spectral analysis reduces an orthogonal iterate
+to its symmetric part, whose eigenvalues are the cosines of the rotation
+phases.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import DimensionError, NumericError
 from .gates import single_gate
 from .operators import (
     FactoredOperator,
-    NqaOperator,
-    ProductReflection,
+    Reflection,
+    _check_state_cap,
     basis_state,
     to_dense,
     is_orthogonal,
@@ -42,8 +43,6 @@ __all__ = [
     "bv_recover",
     "bv_circuit",
     "GroverSpec",
-    "OracleReflection",
-    "DiffusionReflection",
     "grover_oracle",
     "grover_diffusion",
     "grover_iterate_dense",
@@ -156,6 +155,7 @@ class GroverSpec:
             raise DimensionError(
                 f"marked pattern must be {self.m} characters of 0/1, got {self.marked!r}"
             )
+        _check_state_cap(self.m)
         if self.iterations is not None and self.iterations < 0:
             raise DimensionError("iteration budget cannot be negative")
 
@@ -164,71 +164,14 @@ class GroverSpec:
         return int(self.marked, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class OracleReflection:
-    """Sign flip on one marked basis state: v -> v - 2 v[marked] e_marked."""
-
-    m: int
-    marked_index: int
-
-    def apply(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.float64).copy()
-        _check_len(v, self.m)
-        v[self.marked_index] = -v[self.marked_index]
-        return v
-
-    def to_dense(self) -> np.ndarray:
-        n = 1 << self.m
-        out = np.eye(n)
-        out[self.marked_index, self.marked_index] = -1.0
-        return out
-
-    def as_projector_reflection(self) -> ProductReflection:
-        """identity - 2 * product of per-slot basis projectors."""
-        bits = format(self.marked_index, f"0{self.m}b")
-        factors = tuple(
-            single_gate("P1" if bit == "1" else "P0", k + 1, self.m)
-            for k, bit in enumerate(bits)
-        )
-        return ProductReflection(self.m, factors, scale=1)
+def grover_oracle(spec: GroverSpec) -> Reflection:
+    """Sign flip on the marked basis state: the reflection with pattern spec.marked."""
+    return Reflection(spec.marked)
 
 
-@dataclass(frozen=True, slots=True)
-class DiffusionReflection:
-    """Reflection about the uniform state: v -> 2 <s|v> |s> - v."""
-
-    m: int
-
-    def apply(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.float64)
-        _check_len(v, self.m)
-        return 2.0 * v.mean() - v
-
-    def to_dense(self) -> np.ndarray:
-        n = 1 << self.m
-        return np.full((n, n), 2.0 / n) - np.eye(n)
-
-    def as_projector_reflection(self) -> ProductReflection:
-        """-(identity - 2 * product of per-slot uniform projectors)."""
-        half = 1.0 / 2.0
-        factors = []
-        for k in range(1, self.m + 1):
-            plus = NqaOperator.identity(self.m) * half + single_gate("X", k, self.m) * half
-            factors.append(plus)
-        return ProductReflection(self.m, tuple(factors), scale=-1)
-
-
-def _check_len(v: np.ndarray, m: int) -> None:
-    if v.shape != (1 << m,):
-        raise DimensionError(f"state vector must have length {1 << m}, got shape {v.shape}")
-
-
-def grover_oracle(spec: GroverSpec) -> OracleReflection:
-    return OracleReflection(spec.m, spec.marked_index)
-
-
-def grover_diffusion(m: int) -> DiffusionReflection:
-    return DiffusionReflection(m)
+def grover_diffusion(m: int) -> Reflection:
+    """Reflection about the uniform state, 2|s><s| - identity: pattern '+' * m, scale -1."""
+    return Reflection("+" * m, scale=-1)
 
 
 def grover_theta(m: int) -> float:
@@ -252,9 +195,6 @@ class GroverRun:
     trace: tuple[float, ...]
     success: float
     theta: float
-    oracle_factored_size: int
-    diffusion_factored_size: int
-    diffusion_expanded_terms: int
 
 
 def grover_run(spec: GroverSpec) -> GroverRun:
@@ -266,20 +206,18 @@ def grover_run(spec: GroverSpec) -> GroverRun:
     iterations = spec.iterations if spec.iterations is not None else grover_auto_iterations(spec.m)
     oracle = grover_oracle(spec)
     diffusion = grover_diffusion(spec.m)
+    marked = spec.marked_index
     v = uniform_state(spec.m)
-    trace = [float(v[oracle.marked_index] ** 2)]
+    trace = [float(v[marked] ** 2)]
     for _ in range(iterations):
         v = diffusion.apply(oracle.apply(v))
-        trace.append(float(v[oracle.marked_index] ** 2))
+        trace.append(float(v[marked] ** 2))
     return GroverRun(
         spec=spec,
         iterations=iterations,
         trace=tuple(trace),
         success=trace[-1],
         theta=grover_theta(spec.m),
-        oracle_factored_size=spec.m,
-        diffusion_factored_size=spec.m,
-        diffusion_expanded_terms=1 << spec.m,
     )
 
 

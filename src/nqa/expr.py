@@ -25,7 +25,7 @@ from typing import Union
 
 from .errors import EvaluationError, ParseError
 from .gates import bell_transform, lifted_gate, mcz, single_gate, two_gate
-from .operators import NqaOperator, FactoredOperator, ProductReflection
+from .operators import NqaOperator, FactoredOperator, Reflection
 from .realify import ComplexNqaOperator
 
 __all__ = ["parse", "format_expr", "evaluate", "Expr"]
@@ -404,7 +404,7 @@ def _match_m(lhs: ComplexNqaOperator, rhs: ComplexNqaOperator, pos: int) -> None
 def _as_complex(value) -> ComplexNqaOperator:
     if isinstance(value, ComplexNqaOperator):
         return value
-    if isinstance(value, (FactoredOperator, ProductReflection)):
+    if isinstance(value, (FactoredOperator, Reflection)):
         return ComplexNqaOperator.from_real(value.expand())
     return ComplexNqaOperator.from_real(value)
 

@@ -8,8 +8,9 @@ produced by realifying their complex tables and land on three slots, the
 phase lane last.
 
 Conventions: slots are 1-based, slot 1 most significant; CNOT takes
-(control, target); MCZ is kept as a structured reflection
-identity - 2 * product of one-projectors and is never expanded implicitly.
+(control, target); MCZ is kept as a structured Reflection
+identity - 2 * product of P1 projectors on the controls (pattern '1' on
+the controls, '.' elsewhere) and is never expanded implicitly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import DimensionError, ExponentialFormError
 from .operators import (
     NqaOperator,
     FactoredOperator,
-    ProductReflection,
+    Reflection,
     op_mul,
 )
 from .realify import ComplexNqaOperator, phi
@@ -169,19 +170,19 @@ def word_pair(m: int, p: int, bp: BlockIndex, q: int, bq: BlockIndex) -> NqaWord
     return NqaWord(m, wp.alpha | wq.alpha, wp.beta | wq.beta)
 
 
-def mcz(controls: Iterable[int], m: int) -> ProductReflection:
-    """Multi-controlled Z: identity - 2 * product of one-projectors on the controls.
+def mcz(controls: Iterable[int], m: int) -> Reflection:
+    """Multi-controlled Z: identity - 2 * product of P1 projectors on the controls.
 
-    Returned as a structured reflection; expanding into 2^|C| block terms
-    is an explicit `.expand()` call, never automatic.
+    Returned as the Reflection with pattern '1' on the controls and '.'
+    elsewhere; `apply` and `to_dense` cost O(2^m) per column, and expanding
+    into 2^|C| block terms is an explicit `.expand()` call, never automatic.
     """
-    ctrl = sorted(set(controls))  # duplicate controls collapse: projectors are idempotent
+    ctrl = set(controls)  # duplicate controls collapse: projectors are idempotent
     if not ctrl:
         raise DimensionError("mcz needs at least one control slot")
-    for k in ctrl:
+    for k in sorted(ctrl):
         _check_slot(k, m)
-    factors = tuple(single_gate("P1", k, m) for k in ctrl)
-    return ProductReflection(m, factors, scale=1)
+    return Reflection("".join("1" if k in ctrl else "." for k in range(1, m + 1)))
 
 
 def bell_transform() -> NqaOperator:

@@ -27,14 +27,16 @@ count) or into a sorted array of the words met so far.  `from_dense` also
 hands its coefficients to the operator as packed arrays.
 
 Structured forms with deliberately unexpanded factors live here too:
-FactoredOperator (a plain product of factors) and ProductReflection
-(scale * (identity - 2 * product of commuting projectors)).
+FactoredOperator (a plain product of factors) and Reflection (scale *
+(identity - 2 P), P a product of one-slot projectors given by a pattern
+over '01+.'), the form of multi-controlled Z and both Grover reflections.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -60,9 +62,10 @@ from .words import order_key as _order_key
 __all__ = [
     "PRUNE_TOL",
     "DENSE_CAP",
+    "STATE_CAP",
     "NqaOperator",
     "FactoredOperator",
-    "ProductReflection",
+    "Reflection",
     "op_mul",
     "tensor",
     "op_transpose",
@@ -82,6 +85,10 @@ __all__ = [
 
 PRUNE_TOL = 1e-14
 DENSE_CAP = 12
+# State vectors (and expanded reflections) stop at 2^STATE_CAP entries
+# (terms): the size of the largest dense matrix, and as many terms as
+# from_dense can emit.
+STATE_CAP = 2 * DENSE_CAP
 
 # op_mul runs on the packed engine from this many term pairs up (and m <=
 # 32).  Measured crossover: the packed path has a fixed cost of ~0.1 ms,
@@ -98,6 +105,11 @@ _CHUNK_ENTRIES = 1 << 14
 def _check_dense_cap(m: int) -> None:
     if m > DENSE_CAP:
         raise DenseCapError(f"dense conversion capped at m <= {DENSE_CAP}, got m={m}")
+
+
+def _check_state_cap(m: int) -> None:
+    if m > STATE_CAP:
+        raise DenseCapError(f"state vectors capped at m <= {STATE_CAP}, got m={m}")
 
 
 def _kept(coeff: float) -> bool:
@@ -550,6 +562,7 @@ def is_orthogonal(obj, tol: float = 1e-12) -> bool:
 
 def basis_state(m: int, index) -> np.ndarray:
     """Unit vector |x>; index is an integer or a bit string, slot 1 leftmost."""
+    _check_state_cap(m)
     if isinstance(index, str):
         if len(index) != m or any(ch not in "01" for ch in index):
             raise DimensionError(f"basis bit string must be {m} characters of 0/1, got {index!r}")
@@ -563,6 +576,7 @@ def basis_state(m: int, index) -> np.ndarray:
 
 
 def uniform_state(m: int) -> np.ndarray:
+    _check_state_cap(m)
     n = 1 << m
     return np.full(n, 1.0 / np.sqrt(n))
 
@@ -613,43 +627,82 @@ class FactoredOperator:
 
 
 @dataclass(frozen=True, slots=True)
-class ProductReflection:
-    """scale * (identity - 2 * product of factors), factors commuting projectors.
+class Reflection:
+    """scale * (identity - 2 P), P a product of one-slot projectors.
 
-    Never expanded implicitly; `expand` is the explicit escape hatch.
+    `pattern` gives P slot by slot, slot 1 first: '0' and '1' project onto
+    that basis state, '+' onto the uniform state (I + X)/2, and '.' leaves
+    the slot alone.  Never expanded implicitly; `expand` is the explicit
+    escape hatch, 2^len(self) terms.
     """
 
-    m: int
-    factors: tuple[NqaOperator, ...]
+    pattern: str
     scale: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+        if not self.pattern or any(ch not in "01+." for ch in self.pattern):
+            raise DimensionError(f"reflection pattern must be a nonempty '01+.' string, got {self.pattern!r}")
         if self.scale not in (1, -1):
             raise DimensionError(f"reflection scale must be +1 or -1, got {self.scale}")
-        for f in self.factors:
-            if f.m != self.m:
-                raise DimensionError(f"factor has {f.m} slots, reflection declared {self.m}")
+
+    @property
+    def m(self) -> int:
+        return len(self.pattern)
+
+    @property
+    def factors(self) -> tuple[NqaOperator, ...]:
+        """One 2-term projector per slot that is not '.', slot 1 first."""
+        out = []
+        for k, ch in enumerate(self.pattern):
+            if ch != ".":
+                mask = 1 << (self.m - 1 - k)
+                word = NqaWord(self.m, mask, 0) if ch == "+" else NqaWord(self.m, 0, mask)
+                coeff = -0.5 if ch == "1" else 0.5
+                out.append(NqaOperator(self.m, {NqaWord.identity(self.m): 0.5, word: coeff}))
+        return tuple(out)
 
     def __len__(self) -> int:
-        return len(self.factors)
+        return self.m - self.pattern.count(".")
+
+    def _reflect(self, a: np.ndarray) -> np.ndarray:
+        """The reflection applied to the columns of a (2^m rows), O(2^m) each.
+
+        The 0/1 slots index a block, which is averaged over the '+' slots.
+        Runs of equal slots share one axis, so the diffusion averages a
+        flat vector (numpy's fast path, and bit for bit its v.mean()).
+        """
+        kinds = groupby(self.pattern, lambda ch: ch if ch in "+." else "01")
+        runs = [(kind, "".join(run)) for kind, run in kinds]
+        t = a.reshape(tuple(1 << len(run) for _, run in runs) + a.shape[1:])
+        index = tuple(int(run, 2) if kind == "01" else slice(None) for kind, run in runs)
+        kept = [kind for kind, _ in runs if kind != "01"]
+        axes = tuple(i for i, kind in enumerate(kept) if kind == "+")
+        block = t[index]
+        w = block.mean(axis=axes, keepdims=True) if axes else block
+        new = block - 2.0 * w if self.scale > 0 else 2.0 * w - block
+        if new.shape == t.shape:  # no 0/1 slot: the block is all of t
+            return new.reshape(a.shape)
+        out = t * float(self.scale)
+        out[index] = new
+        return out.reshape(a.shape)
 
     def apply(self, vec) -> np.ndarray:
         v = np.asarray(vec, dtype=np.float64)
-        w = v
-        for f in reversed(self.factors):
-            w = f.apply(w)
-        out = v - 2.0 * w
-        return out if self.scale > 0 else -out
+        if v.shape != (1 << self.m,):
+            raise DimensionError(f"state vector must have length {1 << self.m}, got shape {v.shape}")
+        return self._reflect(v)
 
     def projector(self) -> NqaOperator:
         return FactoredOperator(self.m, self.factors).expand()
 
     def expand(self) -> NqaOperator:
+        if len(self) > STATE_CAP:
+            raise DenseCapError(
+                f"expanding {len(self)} projectors gives 2^{len(self)} terms, capped at 2^{STATE_CAP}"
+            )
         out = NqaOperator.identity(self.m) - 2.0 * self.projector()
         return out if self.scale > 0 else -out
 
     def to_dense(self) -> np.ndarray:
-        prod = FactoredOperator(self.m, self.factors).to_dense()
-        out = np.eye(1 << self.m) - 2.0 * prod
-        return out if self.scale > 0 else -out
+        _check_dense_cap(self.m)
+        return self._reflect(np.eye(1 << self.m))

@@ -302,8 +302,8 @@ def test_c07_grover():
 
 
 def _iterate_operator(spec):
-    oracle = grover_oracle(spec).as_projector_reflection().expand()
-    diffusion = grover_diffusion(spec.m).as_projector_reflection().expand()
+    oracle = grover_oracle(spec).expand()
+    diffusion = grover_diffusion(spec.m).expand()
     return op_mul(diffusion, oracle)
 
 

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import dense_operator
 from nqa import (
     BvOracleSpec,
+    DenseCapError,
     DimensionError,
     FactoredOperator,
     NumericError,
@@ -24,6 +26,7 @@ from nqa import (
     grover_success_formula,
     grover_theta,
     GroverSpec,
+    Reflection,
     is_clifford_spectrum,
     single_gate,
     to_dense,
@@ -133,31 +136,55 @@ def test_grover_m2_trace_periodicity():
 def test_reflection_structures():
     spec = GroverSpec(3, "011")
     oracle = grover_oracle(spec)
+    assert oracle == Reflection("011")
     dense = to_dense(oracle)
     want = np.eye(8)
     want[spec.marked_index, spec.marked_index] = -1.0
-    assert np.allclose(dense, want)
-    assert np.allclose(to_dense(oracle.as_projector_reflection()), want)
+    assert np.array_equal(dense, want)
 
     diffusion = grover_diffusion(3)
+    assert diffusion == Reflection("+++", scale=-1)
     dd = to_dense(diffusion)
-    assert np.allclose(dd, 2.0 / 8.0 * np.ones((8, 8)) - np.eye(8))
-    assert np.allclose(to_dense(diffusion.as_projector_reflection()), dd)
-    # projector factorizations stay m factors long
-    assert len(oracle.as_projector_reflection()) == 3
-    assert len(diffusion.as_projector_reflection()) == 3
+    assert np.array_equal(dd, 2.0 / 8.0 * np.ones((8, 8)) - np.eye(8))
 
     v = np.arange(8.0)
-    assert np.allclose(oracle.apply(v), want @ v)
+    assert np.array_equal(oracle.apply(v), want @ v)
     assert np.allclose(diffusion.apply(v), dd @ v)
+    with pytest.raises(DimensionError):
+        oracle.apply(np.ones(4))
+
+
+def test_grover_trace_is_rank_one_loop():
+    # the oracle negates the marked amplitude, the diffusion reflects about the mean
+    for m in range(1, 17):
+        marked = format((0b1011011 * m) % (1 << m), f"0{m}b")
+        run = grover_run(GroverSpec(m, marked))
+        k = int(marked, 2)
+        v = np.full(1 << m, 1.0 / np.sqrt(1 << m))
+        trace = [float(v[k] ** 2)]
+        for _ in range(run.iterations):
+            v[k] = -v[k]
+            v = 2 * v.mean() - v
+            trace.append(float(v[k] ** 2))
+        assert run.trace == tuple(trace)
+
+
+def test_reflection_dense_is_expanded_table():
+    for m in range(1, 7):
+        marked = format((0b1011011 * m) % (1 << m), f"0{m}b")
+        for refl in (grover_oracle(GroverSpec(m, marked)), grover_diffusion(m)):
+            dense = to_dense(refl)
+            assert dense.tobytes() == dense_operator(refl.expand()).tobytes()
 
 
 def test_grover_run_reports_sizes():
     run = grover_run(GroverSpec(4, "0110"))
-    assert run.oracle_factored_size == 4
-    assert run.diffusion_factored_size == 4
-    assert run.diffusion_expanded_terms == 16
     assert run.theta == grover_theta(4)
+    # the reflections stay m one-slot projectors; only expand() builds 2^m terms
+    for m in (2, 4, 7):
+        assert len(grover_oracle(GroverSpec(m, "1" * m))) == m
+        assert len(grover_diffusion(m)) == m
+        assert len(grover_diffusion(m).expand()) == 2**m
 
 
 def test_eigenphases_of_grover_iterate():
@@ -187,3 +214,5 @@ def test_grover_spec_validation():
         GroverSpec(2, "ab")
     with pytest.raises(DimensionError):
         GroverSpec(2, "11", iterations=-1)
+    with pytest.raises(DenseCapError):
+        GroverSpec(40, "1" * 40)

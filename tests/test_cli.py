@@ -113,6 +113,15 @@ def test_grover(capsys):
     assert code == 2
 
 
+def test_beyond_state_cap_exits_2(capsys):
+    code, out, err = run(capsys, "grover", "--m", "40", "--marked", "1" * 40)
+    assert code == 2 and out == ""
+    assert err == "error: state vectors capped at m <= 24, got m=40\n"
+    code, out, err = run(capsys, "eval", "MCZ(" + ",".join(map(str, range(1, 41))) + ")")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "capped at 2^24" in err
+
+
 def test_chsh(capsys):
     code, out, _ = run(capsys, "chsh", "quantum")
     assert code == 0

@@ -184,6 +184,13 @@ def test_mcz_semantics_and_size():
         mcz((3,), 2)
 
 
+def test_mcz_dense_is_expanded_table():
+    for m in range(1, 7):
+        for controls in ((1,), tuple(range(1, m + 1)), tuple(range(m, 0, -2))):
+            refl = mcz(controls, m)
+            assert refl.to_dense().tobytes() == dense_operator(refl.expand()).tobytes()
+
+
 def test_iswap_dense():
     got = dense_complex(iswap_complex())
     want = np.array([

@@ -1,5 +1,7 @@
 """Operator algebra against the independent dense oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from nqa import (
     HomogeneityError,
     NqaOperator,
     NqaWord,
-    ProductReflection,
+    Reflection,
+    STATE_CAP,
     anticommutator,
     basis_state,
     commutator,
@@ -249,19 +252,78 @@ def test_factored_operator_semantics():
         FactoredOperator(2, (h1, single_gate("H", 1, 1)))
 
 
-def test_product_reflection_semantics():
+def test_reflection_semantics():
     p1 = single_gate("P1", 1, 2)
     p2 = single_gate("P1", 2, 2)
-    refl = ProductReflection(2, (p1, p2))
+    refl = Reflection("11")
+    assert refl.m == 2 and len(refl) == 2
+    assert refl.factors == (p1, p2)
     dense = np.eye(4) - 2.0 * (to_dense(p1) @ to_dense(p2))
-    assert np.allclose(to_dense(refl), dense)
+    assert np.array_equal(to_dense(refl), dense)
     v = np.arange(4.0) + 1.0
-    assert np.allclose(refl.apply(v), dense @ v)
-    assert refl.expand().allclose(from_dense(dense))
-    flipped = ProductReflection(2, (p1, p2), scale=-1)
-    assert np.allclose(to_dense(flipped), -dense)
+    assert np.array_equal(refl.apply(v), dense @ v)
+    assert refl.expand() == from_dense(dense)
+    assert refl.projector() == p1 @ p2
+    flipped = Reflection("11", scale=-1)
+    assert np.array_equal(to_dense(flipped), -dense)
+    for bad in ("", "1x", "11 "):
+        with pytest.raises(DimensionError):
+            Reflection(bad)
     with pytest.raises(DimensionError):
-        ProductReflection(2, (p1,), scale=2)
+        Reflection("11", scale=2)
+    with pytest.raises(DimensionError):
+        refl.apply(np.ones(8))
+
+
+_SLOT_PROJECTORS = {
+    "0": np.diag([1.0, 0.0]),
+    "1": np.diag([0.0, 1.0]),
+    "+": np.full((2, 2), 0.5),
+    ".": np.eye(2),
+}
+
+
+def test_reflection_patterns_match_kronecker_oracle():
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3):
+        n = 1 << m
+        for chars in itertools.product("01+.", repeat=m):
+            pattern = "".join(chars)
+            proj = np.array([[1.0]])
+            for ch in pattern:
+                proj = np.kron(proj, _SLOT_PROJECTORS[ch])
+            for scale in (1, -1):
+                refl = Reflection(pattern, scale)
+                want = scale * (np.eye(n) - 2.0 * proj)
+                dense = refl.to_dense()
+                assert np.array_equal(dense, want), (pattern, scale)
+                assert np.array_equal(dense_operator(refl.expand()), want), (pattern, scale)
+                v = rng.standard_normal(n)
+                assert np.allclose(refl.apply(v), dense @ v, rtol=0, atol=1e-15), (pattern, scale)
+                assert len(refl) == len(refl.factors) == m - pattern.count(".")
+
+
+def test_state_and_expansion_caps_allocate_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    monkeypatch.setattr(np, "full", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(FactoredOperator, "expand", refuse)
+    for m in (STATE_CAP + 1, 40):
+        with pytest.raises(DenseCapError):
+            uniform_state(m)
+        with pytest.raises(DenseCapError):
+            basis_state(m, 0)
+        with pytest.raises(DenseCapError):
+            Reflection("1" * m).expand()
+        with pytest.raises(DenseCapError):
+            Reflection("." + "+" * m, scale=-1).expand()
+    # at the cap the check passes and the allocation is reached
+    with pytest.raises(AssertionError):
+        uniform_state(STATE_CAP)
+    with pytest.raises(AssertionError):
+        Reflection("1" * STATE_CAP + "." * 16).expand()
 
 
 def test_str_output():
