@@ -3,7 +3,10 @@
 Subcommands: eval, decompose, bv, grover, chsh, table, check.  Every
 subcommand accepts --json for machine-readable output; human output is
 deterministic and sorted.  Exit codes: 0 on success, 1 when a check
-fails, 2 on usage or domain errors.
+fails, 2 on usage or domain errors.  A domain error prints one line to
+stderr: `error: <text>`, or with --json the object
+{"error": <message>, "kind": <exception class>, "column": <1-based column
+in the expression, or null>}.
 """
 
 from __future__ import annotations
@@ -341,7 +344,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NqaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.json:
+            column = None if exc.position is None else exc.position + 1
+            error = {"error": exc.message, "kind": type(exc).__name__, "column": column}
+            print(json.dumps(error), file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,17 @@ callers can catch dimension and domain problems uniformly.
 
 
 class NqaError(ValueError):
-    """Base class for domain errors raised by this package."""
+    """Base class for domain errors raised by this package.
+
+    An error about expression text carries the 0-based `position` it
+    refers to, and its text starts with the 1-based column; `message` is
+    the text without that prefix.
+    """
+
+    def __init__(self, message: str = "", position: int | None = None):
+        super().__init__(message if position is None else f"column {position + 1}: {message}")
+        self.message = message
+        self.position = position
 
 
 class DimensionError(NqaError):
@@ -31,10 +41,6 @@ class ExponentialFormError(NqaError):
 
 class ParseError(NqaError):
     """Expression text rejected, annotated with the offending position."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"column {position + 1}: {message}")
-        self.position = position
 
 
 class EvaluationError(NqaError):

@@ -6,7 +6,8 @@ Grammar (tensor is spelled "(x)", binding tighter than "*"):
     term   := factor ("*" factor)*
     factor := scalar factor | atom ("(x)" atom)*
     atom   := WORD | GATE "(" args ")" | "(" expr ")"
-    scalar := decimal | INT "/" INT | "sqrt(" INT ")" | "1/sqrt(" INT ")"
+    scalar := number | INT "/" INT | "sqrt(" INT ")" | "1/sqrt(" INT ")"
+    number := INT ["." [INT]] [("e" | "E") ["+" | "-"] INT]
     WORD   := [IXZW]+
 
 Word literals are uppercase; gate names are case-insensitive and only
@@ -20,6 +21,7 @@ explicitly during evaluation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -31,6 +33,7 @@ from .realify import ComplexNqaOperator
 __all__ = ["parse", "format_expr", "evaluate", "Expr"]
 
 _WORD_CHARS = set("IXZW")
+_EXPONENT = re.compile(r"[eE][+-]?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +74,9 @@ def _tokenize(source: str) -> list[_Token]:
                 j += 1
                 while j < n and source[j].isdigit():
                     j += 1
+            exponent = _EXPONENT.match(source, j)
+            if exponent:
+                j = exponent.end()
             tokens.append(_Token("NUMBER", source[i:j], i))
             i = j
             continue
@@ -365,9 +371,7 @@ def _eval(node: Expr) -> _Value:
         if isinstance(lhs, float) and isinstance(rhs, float):
             return lhs + rhs if isinstance(node, Sum) else lhs - rhs
         if isinstance(lhs, float) or isinstance(rhs, float):
-            raise EvaluationError(
-                f"column {node.pos + 1}: cannot add a scalar and an operator"
-            )
+            raise EvaluationError("cannot add a scalar and an operator", node.pos)
         _match_m(lhs, rhs, node.pos)
         return lhs + rhs if isinstance(node, Sum) else lhs - rhs
     if isinstance(node, Product):
@@ -390,15 +394,13 @@ def _eval(node: Expr) -> _Value:
     lhs = _eval(node.left)
     rhs = _eval(node.right)
     if isinstance(lhs, float) or isinstance(rhs, float):
-        raise EvaluationError(f"column {node.pos + 1}: tensor needs operators on both sides")
+        raise EvaluationError("tensor needs operators on both sides", node.pos)
     return lhs.tensor(rhs)
 
 
 def _match_m(lhs: ComplexNqaOperator, rhs: ComplexNqaOperator, pos: int) -> None:
     if lhs.m != rhs.m:
-        raise EvaluationError(
-            f"column {pos + 1}: operands act on {lhs.m} and {rhs.m} slots"
-        )
+        raise EvaluationError(f"operands act on {lhs.m} and {rhs.m} slots", pos)
 
 
 def _as_complex(value) -> ComplexNqaOperator:
@@ -410,8 +412,8 @@ def _as_complex(value) -> ComplexNqaOperator:
 
 
 def _int_arg(arg: Arg, what: str) -> int:
-    if arg.value != int(arg.value) or arg.value < 0:
-        raise EvaluationError(f"column {arg.pos + 1}: {what} must be a nonnegative integer")
+    if not arg.value.is_integer() or arg.value < 0:
+        raise EvaluationError(f"{what} must be a nonnegative integer", arg.pos)
     return int(arg.value)
 
 
@@ -423,8 +425,9 @@ def _slots_and_m(name: str, args: tuple[Arg, ...], slot_count: int, pos: int) ->
         slots = [_int_arg(a, "slot") for a in args[:-1]]
         return slots, _int_arg(args[-1], "register size")
     raise EvaluationError(
-        f"column {pos + 1}: gate {name} takes {slot_count} slot(s) plus an "
-        f"optional register size, got {len(args)} argument(s)"
+        f"gate {name} takes {slot_count} slot(s) plus an optional register size, "
+        f"got {len(args)} argument(s)",
+        pos,
     )
 
 
@@ -437,7 +440,7 @@ def _eval_gate(node: Gate) -> ComplexNqaOperator:
             return _as_complex(bell_transform())
         if key == "MCZ":
             if not args:
-                raise EvaluationError(f"column {node.pos + 1}: MCZ needs control slots")
+                raise EvaluationError("MCZ needs control slots", node.pos)
             controls = [_int_arg(a, "control slot") for a in args]
             return _as_complex(mcz(controls, max(controls)))
         if key in ("ISWAP", "SQRTSWAP"):
@@ -456,7 +459,7 @@ def _eval_gate(node: Gate) -> ComplexNqaOperator:
             return _as_complex(single_gate(key, slots[0], m))
         if key == "RZ" or key in _ANGLE_SLOT:
             if not args:
-                raise EvaluationError(f"column {node.pos + 1}: gate {key} needs an angle")
+                raise EvaluationError(f"gate {key} needs an angle", node.pos)
             slots, m = _slots_and_m(key, args[1:], 1, node.pos)
             return _as_complex(single_gate(key, slots[0], m, args[0].value))
         if key in _TWO_SLOT:
@@ -464,19 +467,17 @@ def _eval_gate(node: Gate) -> ComplexNqaOperator:
             return _as_complex(two_gate(key, tuple(slots), m))
         if key in ("BASIS_PROJECTOR", "PROJ"):
             if not args:
-                raise EvaluationError(f"column {node.pos + 1}: {key} needs a bit pattern")
+                raise EvaluationError(f"{key} needs a bit pattern", node.pos)
             bits = args[0].text
             slots, m = _slots_and_m(key, args[1:], 2, node.pos)
             return _as_complex(two_gate("BASIS_PROJECTOR", tuple(slots), m, bits))
     except EvaluationError:
         raise
     except ValueError as exc:
-        raise EvaluationError(f"column {node.pos + 1}: {exc}") from exc
-    raise EvaluationError(f"column {node.pos + 1}: unknown gate {node.name!r}")
+        raise EvaluationError(str(exc), node.pos) from exc
+    raise EvaluationError(f"unknown gate {node.name!r}", node.pos)
 
 
 def _need(name: str, args: tuple[Arg, ...], count: int, pos: int) -> None:
     if len(args) != count:
-        raise EvaluationError(
-            f"column {pos + 1}: gate {name} takes {count} argument(s), got {len(args)}"
-        )
+        raise EvaluationError(f"gate {name} takes {count} argument(s), got {len(args)}", pos)

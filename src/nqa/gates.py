@@ -267,7 +267,7 @@ def real_exponential(generator: NqaOperator, angle: float, tol: float = 1e-12) -
     ident = NqaWord.identity(generator.m)
     lead = square.coeff(ident)
     residual = square - NqaOperator.from_word(ident, lead)
-    off = max((abs(c) for _, c in residual.items()), default=0.0)
+    off = max((abs(c) for c in residual.coeffs.tolist()), default=0.0)
     if off > tol or min(abs(lead - 1.0), abs(lead + 1.0)) > tol:
         raise ExponentialFormError(
             f"generator square is {lead:+g}*1 + (off-identity mass {off:g}), need exactly +1 or -1"

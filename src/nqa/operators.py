@@ -1,30 +1,21 @@
 """Sparse real operators over the word basis, with dense conversion and application.
 
-An operator is a pruned mapping word -> float coefficient; words are an
+An operator on m <= SLOT_CAP = 64 slots is three read-only columns in
+canonical term order: the words' exponent masks `alpha` and `beta`
+(uint64) and their coefficients `coeffs` (float64).  Words are an
 orthonormal basis under the normalized Frobenius pairing
 <A, B> = 2^-m tr(A^T B), so decomposition is coefficient readout.
+NqaWord objects are built only when a caller asks for words.
 
-Every operator's terms pass one check (`_kept`): a non-finite
-coefficient raises NumericError, and coefficients at or below PRUNE_TOL
-are pruned.  Terms are then kept in the canonical order of
-`words.order_key` (the label order), computed without building labels.
-
-The symbolic route multiplies words by the twisted XOR rule and never
-touches a matrix.  The dense route rests on the signed-permutation action
-B(alpha, beta)|x> = (-1)^(beta . x) |x xor alpha>: `to_dense` scatters
-every term's n entries into the matrix with one np.add.at per block of
-terms, and `apply` uses the same action on a vector without forming a
-matrix.  Independent oracles that build words as Kronecker products of the
-four 2x2 blocks live outside the package, in tests/helpers.py and
-bench/reference.py.
-
-`op_mul` has two paths that agree bit for bit.  Products of fewer than
-_PACKED_MIN_PAIRS term pairs, and all products on more than 32 slots, take
-a scalar loop, one word_mul per term pair.  The rest run on the packed
-engine: `words.packed_mul` is broadcast over blocks of term pairs and the
-contributions are added into direct bins (when 4^m is at most the pair
-count) or into a sorted array of the words met so far.  `from_dense` also
-hands its coefficients to the operator as packed arrays.
+Every operator passes one canonicalisation, `_merge` in the constructor:
+a stable sort into the label order of `words.order_key`, np.add.at over
+each word's coefficients in input order, NumericError on a non-finite
+sum, and pruning at PRUNE_TOL.  `op_mul` broadcasts the twisted XOR rule
+over blocks of term pairs and never touches a matrix.  The dense route
+rests on the signed-permutation action B(alpha, beta)|x> =
+(-1)^(beta . x) |x xor alpha>, which `to_dense` scatters, `apply` runs on
+a vector, and `from_dense` inverts with a Walsh butterfly.  Independent
+oracles live in tests/helpers.py and bench/reference.py.
 
 Structured forms with deliberately unexpanded factors live here too:
 FactoredOperator (a plain product of factors) and Reflection (scale *
@@ -34,35 +25,21 @@ over '01+.'), the form of multi-controlled Z and both Grover reflections.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DenseCapError, DimensionError, HomogeneityError, NumericError
-from .words import (
-    NqaWord,
-    epsilon,
-    packed_mul,
-    packed_order_key,
-    parity,
-    parity_table,
-    word_mul,
-    word_transpose,
-)
-
-# Bound under a private name: the constructor calls the key once per term,
-# and the benchmark tracer (bench/tracing.py) wraps every public function
-# it finds in a module, which would cost more than the key itself.
-from .words import order_key as _order_key
+from .words import NqaWord, epsilon, packed_mul, packed_order_key, packed_transpose_parity
 
 __all__ = [
     "PRUNE_TOL",
     "DENSE_CAP",
     "STATE_CAP",
+    "SLOT_CAP",
     "NqaOperator",
     "FactoredOperator",
     "Reflection",
@@ -89,17 +66,18 @@ DENSE_CAP = 12
 # (terms): the size of the largest dense matrix, and as many terms as
 # from_dense can emit.
 STATE_CAP = 2 * DENSE_CAP
+# An operator stores each word as two uint64 masks.
+SLOT_CAP = 64
 
-# op_mul runs on the packed engine from this many term pairs up (and m <=
-# 32).  Measured crossover: the packed path has a fixed cost of ~0.1 ms,
-# which is what the scalar loop spends on ~30 pairs.
-_PACKED_MIN_PAIRS = 32
-# Term pairs handed to one packed_mul call; working memory is ~50 bytes a pair.
+# Term pairs in one op_mul block; working memory is ~50 bytes a pair.
 _CHUNK_PAIRS = 1 << 14
 
 # Matrix entries written by one np.add.at call in to_dense; working memory
 # beyond the output is ~30 bytes an entry.
 _CHUNK_ENTRIES = 1 << 14
+
+# one byte per block letter, indexed by x_bit | z_bit << 1
+_LETTERS = np.frombuffer(b"IXZW", dtype=np.uint8)
 
 
 def _check_dense_cap(m: int) -> None:
@@ -112,15 +90,48 @@ def _check_state_cap(m: int) -> None:
         raise DenseCapError(f"state vectors capped at m <= {STATE_CAP}, got m={m}")
 
 
-def _kept(coeff: float) -> bool:
-    """Whether a merged coefficient survives pruning at PRUNE_TOL.
+def _check_slots(m: int) -> None:
+    if m < 1:
+        raise DimensionError(f"an operator needs at least one slot, got m={m}")
+    if m > SLOT_CAP:
+        raise DimensionError(f"operators are capped at m <= {SLOT_CAP} slots, got m={m}")
 
-    Every operator's terms pass through here, so a NaN or an infinity is
-    an error instead of a pruned or plausible-looking term.
+
+def _merge(m: int, alpha: np.ndarray, beta: np.ndarray, coeffs: np.ndarray):
+    """Sort terms into label order and add up each word's coefficients.
+
+    Returns (alpha, beta, sums), one row per word.  The label order is
+    lexicographic over packed_order_key of slots 1-32 and, above 32 slots,
+    of the rest.  The sort is stable and np.add.at adds in index order, so
+    each sum is the running sum of the word's coefficients in input order,
+    from 0.0, bit for bit.  (Without repeats the sums are the coefficients
+    themselves, which differ from that only in the sign of a zero.)
     """
-    if not math.isfinite(coeff):
-        raise NumericError(f"non-finite coefficient {coeff} in an operator")
-    return abs(coeff) > PRUNE_TOL
+    if len(coeffs) < 2:
+        return alpha, beta, coeffs
+    cut = max(m - 32, 0)
+    keys = [packed_order_key(alpha >> np.uint64(cut), beta >> np.uint64(cut), m - cut)]
+    if cut:
+        low = np.uint64((1 << cut) - 1)
+        keys.append(packed_order_key(alpha & low, beta & low, cut))
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(order), bool)
+    new[0] = True
+    for k in keys:
+        k = k[order]
+        new[1:] |= k[1:] != k[:-1]
+    if new.all():
+        return alpha[order], beta[order], coeffs[order]
+    sums = np.zeros(np.count_nonzero(new))
+    with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects non-finite sums
+        np.add.at(sums, np.cumsum(new) - 1, coeffs[order])
+    return alpha[order[new]], beta[order[new]], sums
+
+
+def _stack(a: "NqaOperator", b: "NqaOperator", b_coeffs: np.ndarray):
+    """The columns of a followed by those of b, with b_coeffs for b's coefficients."""
+    return (np.concatenate((a.alpha, b.alpha)), np.concatenate((a.beta, b.beta)),
+            np.concatenate((a.coeffs, b_coeffs)))
 
 
 def word_to_dense(word: NqaWord) -> np.ndarray:
@@ -130,52 +141,45 @@ def word_to_dense(word: NqaWord) -> np.ndarray:
 
 
 class NqaOperator:
-    """Real linear combination of words on a fixed slot count.
+    """Real linear combination of words on 1 <= m <= SLOT_CAP slots.
 
-    Terms are pruned at PRUNE_TOL and kept sorted by word literal (the
-    order of words.order_key), so iteration, equality, and serialization
-    are deterministic regardless of construction order.  A non-finite
-    coefficient raises NumericError.  Instances are treated as immutable
-    values.
+    Built from words, `NqaOperator(m, {word: coeff})` or (word, coeff)
+    pairs, or from columns, `NqaOperator(m, alpha=..., beta=...,
+    coeffs=...)`.  Terms are merged, pruned at PRUNE_TOL and kept sorted by
+    word literal, so iteration, equality, and serialization are
+    deterministic regardless of construction order.  A non-finite
+    coefficient raises NumericError.  The columns are read-only and
+    instances are immutable values.
     """
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ("m", "alpha", "beta", "coeffs")
 
-    def __init__(self, m: int, terms: Mapping[NqaWord, float] | Iterable[tuple[NqaWord, float]] | None = None):
-        if m < 1:
-            raise DimensionError(f"an operator needs at least one slot, got m={m}")
-        items = terms.items() if isinstance(terms, Mapping) else (terms or ())
-        acc: dict[NqaWord, float] = {}
-        for word, coeff in items:
-            if word.m != m:
-                raise DimensionError(f"word {word.label} has {word.m} slots, operator has {m}")
-            acc[word] = acc.get(word, 0.0) + float(coeff)
-        kept = sorted((w for w, c in acc.items() if _kept(c)), key=_order_key)
-        self._assign(m, {w: acc[w] for w in kept})
-
-    @classmethod
-    def _from_packed(cls, m: int, alpha: np.ndarray, beta: np.ndarray, coeffs: np.ndarray) -> "NqaOperator":
-        """Operator of distinct packed words on m <= 32 slots, already merged.
-
-        The array-wise twin of the constructor: the same finiteness check,
-        pruning and canonical order, and every kept word is built (and
-        range-checked) by NqaWord.
-        """
-        if not 1 <= m <= 32:
-            raise DimensionError(f"packed operator terms need 1 <= m <= 32, got m={m}")
-        order = np.argsort(packed_order_key(alpha, beta))
-        terms = {
-            NqaWord(m, x, z): c
-            for x, z, c in zip(alpha[order].tolist(), beta[order].tolist(), coeffs[order].tolist())
-            if _kept(c)
-        }
-        out = object.__new__(cls)
-        out._assign(m, terms)
-        return out
-
-    def _assign(self, m: int, terms: dict[NqaWord, float]) -> None:
+    def __init__(self, m: int, terms: Mapping[NqaWord, float] | Iterable | None = None, *,
+                 alpha=(), beta=(), coeffs=()):
+        _check_slots(m)
+        if terms is not None:
+            alpha, beta, coeffs = [], [], []
+            for word, coeff in terms.items() if isinstance(terms, Mapping) else terms:
+                if word.m != m:
+                    raise DimensionError(f"word {word.label} has {word.m} slots, operator has {m}")
+                alpha.append(word.alpha)
+                beta.append(word.beta)
+                coeffs.append(coeff)
+        alpha, beta = np.asarray(alpha, dtype=np.uint64), np.asarray(beta, dtype=np.uint64)
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        if coeffs.ndim != 1 or not alpha.shape == beta.shape == coeffs.shape:
+            raise DimensionError("alpha, beta and coeffs must be 1-d columns of one length")
+        if terms is None and m < 64 and len(coeffs) and (alpha | beta).max() >> m:
+            raise DimensionError(f"packed exponents out of range for m={m}")
+        alpha, beta, sums = _merge(m, alpha, beta, coeffs)
+        finite = np.isfinite(sums)
+        if not finite.all():
+            raise NumericError(f"non-finite coefficient {float(sums[~finite][0])} in an operator")
+        kept = np.abs(sums) > PRUNE_TOL
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", terms)
+        for name, column in (("alpha", alpha[kept]), ("beta", beta[kept]), ("coeffs", sums[kept])):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __setattr__(self, name, value):
         raise AttributeError("NqaOperator is immutable")
@@ -204,43 +208,56 @@ class NqaOperator:
 
     # -- inspection ----------------------------------------------------------
 
+    def _labels(self) -> list[str]:
+        letters = np.empty((len(self), self.m), np.uint8)
+        for slot in range(self.m):
+            shift = np.uint64(self.m - 1 - slot)
+            letters[:, slot] = _LETTERS[(self.alpha >> shift & 1) | (self.beta >> shift & 1) << 1]
+        return letters.view(f"S{self.m}").ravel().astype(str).tolist()
+
     @property
     def terms(self) -> Mapping[NqaWord, float]:
-        return MappingProxyType(self._terms)
+        return MappingProxyType(dict(self.items()))
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> Iterator[tuple[NqaWord, float]]:
+        """(word, coeff) pairs in canonical order; each word is built as it is reached."""
+        columns = zip(self.alpha.tolist(), self.beta.tolist(), self.coeffs.tolist())
+        return ((NqaWord(self.m, a, b), c) for a, b, c in columns)
 
     def coeff(self, word: NqaWord) -> float:
-        return self._terms.get(word, 0.0)
+        if word.m != self.m:
+            return 0.0
+        row = np.flatnonzero((self.alpha == word.alpha) & (self.beta == word.beta))
+        return float(self.coeffs[row[0]]) if len(row) else 0.0
 
     def to_table(self) -> list[tuple[str, float]]:
-        return [(w.label, c) for w, c in self._terms.items()]
+        return list(zip(self._labels(), self.coeffs.tolist()))
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self.coeffs)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NqaOperator):
             return NotImplemented
-        return self.m == other.m and self._terms == other._terms
+        pairs = zip((self.alpha, self.beta, self.coeffs), (other.alpha, other.beta, other.coeffs))
+        return self.m == other.m and all(np.array_equal(x, y) for x, y in pairs)
 
     def __hash__(self):
-        return hash((self.m, tuple(self._terms.items())))
+        return hash((self.m, tuple(self.items())))
 
     def allclose(self, other: "NqaOperator", tol: float = 1e-12) -> bool:
         if self.m != other.m:
             return False
-        words = self._terms.keys() | other._terms.keys()
-        return all(abs(self.coeff(w) - other.coeff(w)) <= tol for w in words)
+        _, _, diff = _merge(self.m, *_stack(self, other, -other.coeffs))
+        return bool(np.all(np.abs(diff) <= tol))
 
     def __str__(self) -> str:
-        if not self._terms:
+        if self.is_zero():
             return "0"
-        return " ".join(f"{c:+g}*{w.label}" for w, c in self._terms.items())
+        return " ".join(f"{c:+g}*{label}" for label, c in self.to_table())
 
     def __repr__(self) -> str:
         return f"<NqaOperator m={self.m} {self}>"
@@ -249,20 +266,20 @@ class NqaOperator:
 
     def homogeneous_word(self) -> NqaWord | None:
         """The single word of a degree-homogeneous operator, None when zero."""
-        if not self._terms:
+        if self.is_zero():
             return None
-        if len(self._terms) > 1:
+        if len(self) > 1:
             raise HomogeneityError("operator mixes more than one word degree")
-        return next(iter(self._terms))
+        return NqaWord(self.m, int(self.alpha[0]), int(self.beta[0]))
 
     def op_parity(self) -> int | None:
         """Common exponent parity of all terms, None when zero."""
-        parities = {parity(w) for w in self._terms}
-        if not parities:
+        if self.is_zero():
             return None
-        if len(parities) > 1:
+        parities = (np.bitwise_count(self.alpha) + np.bitwise_count(self.beta)) & 1
+        if parities.min() != parities.max():
             raise HomogeneityError("operator mixes even and odd words")
-        return parities.pop()
+        return int(parities[0])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -270,14 +287,15 @@ class NqaOperator:
         if self.m != other.m:
             raise DimensionError(f"slot counts differ: {self.m} vs {other.m}")
 
+    def _with_coeffs(self, coeffs: np.ndarray) -> "NqaOperator":
+        return NqaOperator(self.m, alpha=self.alpha, beta=self.beta, coeffs=coeffs)
+
     def __add__(self, other: "NqaOperator") -> "NqaOperator":
         if not isinstance(other, NqaOperator):
             return NotImplemented
         self._require_same_m(other)
-        acc = dict(self._terms)
-        for w, c in other.items():
-            acc[w] = acc.get(w, 0.0) + c
-        return NqaOperator(self.m, acc)
+        alpha, beta, coeffs = _stack(self, other, other.coeffs)
+        return NqaOperator(self.m, alpha=alpha, beta=beta, coeffs=coeffs)
 
     def __sub__(self, other: "NqaOperator") -> "NqaOperator":
         if not isinstance(other, NqaOperator):
@@ -285,13 +303,14 @@ class NqaOperator:
         return self + (-other)
 
     def __neg__(self) -> "NqaOperator":
-        return NqaOperator(self.m, {w: -c for w, c in self.items()})
+        return self._with_coeffs(-self.coeffs)
 
     def __mul__(self, scalar) -> "NqaOperator":
         if isinstance(scalar, NqaOperator):
             raise TypeError("use A @ B for the operator product; * is scalar scaling")
         s = float(scalar)
-        return NqaOperator(self.m, {w: s * c for w, c in self.items()})
+        with np.errstate(over="ignore"):  # the constructor rejects non-finite coefficients
+            return self._with_coeffs(s * self.coeffs)
 
     __rmul__ = __mul__
 
@@ -320,7 +339,7 @@ class NqaOperator:
         _check_dense_cap(self.m)
         n = 1 << self.m
         out = np.zeros(n * n)
-        alpha, beta, coeff = _packed_terms(self)
+        alpha, beta, coeff = self.alpha, self.beta, self.coeffs
         cols = np.arange(n)
         x = cols.astype(np.uint64)
         step = max(1, _CHUNK_ENTRIES >> self.m)
@@ -333,18 +352,19 @@ class NqaOperator:
         return out.reshape(n, n)
 
     def apply(self, vec) -> np.ndarray:
-        """Apply to a state vector by signed permutations, no matrix built."""
+        """Apply to a state vector by signed permutations, no matrix built:
+        out[x] gains coeff * (-1)^(beta . y) v[y] at y = x xor alpha."""
         v = np.asarray(vec, dtype=np.float64)
         n = 1 << self.m
         if v.shape != (n,):
             raise DimensionError(f"state vector must have length {n}, got shape {v.shape}")
         idx = np.arange(n)
         out = np.zeros(n)
-        for word, coeff in self.items():
-            src = idx ^ word.alpha
-            if word.beta:
-                signs = parity_table(word.beta, self.m)
-                out += coeff * (signs[src] * v[src])
+        for alpha, beta, coeff in zip(self.alpha.tolist(), self.beta.tolist(), self.coeffs.tolist()):
+            src = idx ^ alpha
+            if beta:
+                signs = 1.0 - 2.0 * (np.bitwise_count(src & beta) & 1)
+                out += coeff * (signs * v[src])
             else:
                 out += coeff * v[src]
         return out
@@ -361,94 +381,58 @@ class NqaOperator:
 
 
 def op_mul(a: NqaOperator, b: NqaOperator) -> NqaOperator:
-    """Operator product via the twisted word rule.
+    """Operator product via the twisted word rule, over blocks of term pairs.
 
-    Products of at least _PACKED_MIN_PAIRS term pairs on m <= 32 slots run
-    on the packed engine (`_op_mul_packed`); smaller ones, and every product
-    on more slots, take the scalar loop (`_op_mul_scalar`), one word_mul
-    per term pair.  Both add each result word's contributions in the same
-    pair order (a's terms, then b's, in canonical order), so they agree bit
-    for bit.
+    A block pairs some of a's terms with all of b's through `packed_mul`.
+    Each word's contributions are added in pair order (a's terms, then
+    b's, both in canonical order), so every coefficient is the same sum,
+    bit for bit, as a loop over the pairs: into one bin per possible word
+    when 4^m is at most the pair count, otherwise by `_merge`, which folds
+    the words met so far into the next block.  A block has _CHUNK_PAIRS
+    pairs, or as many as there are words met so far, so each merge costs
+    no more than the block it merges.
     """
     a._require_same_m(b)
-    if a.m <= 32 and len(a) * len(b) >= _PACKED_MIN_PAIRS:
-        return _op_mul_packed(a, b)
-    return _op_mul_scalar(a, b)
-
-
-def _op_mul_scalar(a: NqaOperator, b: NqaOperator) -> NqaOperator:
-    acc: dict[NqaWord, float] = {}
-    for wu, cu in a.items():
-        for wv, cv in b.items():
-            sign, w = word_mul(wu, wv)
-            contrib = cu * cv if sign > 0 else -(cu * cv)
-            acc[w] = acc.get(w, 0.0) + contrib
-    return NqaOperator(a.m, acc)
-
-
-def _packed_terms(op: NqaOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = len(op)
-    alpha = np.fromiter((w.alpha for w in op._terms), np.uint64, n)
-    beta = np.fromiter((w.beta for w in op._terms), np.uint64, n)
-    return alpha, beta, np.fromiter(op._terms.values(), np.float64, n)
-
-
-def _op_mul_packed(a: NqaOperator, b: NqaOperator) -> NqaOperator:
-    """op_mul by broadcasting packed_mul over row blocks of a's terms.
-
-    Each result word is keyed alpha << m | beta and its sum lives in one
-    slot of `sums`.  With 4^m at most the pair count the slots are direct
-    bins, one per possible word; otherwise `keys` holds the sorted words
-    met so far and grows block by block.  np.add.at adds in index order,
-    which is the scalar loop's pair order, so the sums are bit-identical.
-    A block has _CHUNK_PAIRS pairs, or as many as `keys` has entries when
-    that is more, so each merge costs no more than the block it merges.
-    """
     m = a.m
-    a_alpha, a_beta, a_coeff = _packed_terms(a)
-    b_alpha, b_beta, b_coeff = _packed_terms(b)
     binned = 1 << 2 * m <= len(a) * len(b)
-    keys = np.empty(0, np.uint64)
+    alpha = beta = np.empty(0, np.uint64)
     sums = np.zeros(1 << 2 * m if binned else 0)
     start = 0
-    # an overflow leaves a non-finite sum, which _from_packed rejects
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the constructor rejects non-finite sums
         while start < len(a):
-            rows = max(1, max(_CHUNK_PAIRS, len(keys)) // len(b))
-            block = slice(start, start + rows)
-            start += rows
-            sign, alpha, beta = packed_mul(a_alpha[block, None], a_beta[block, None], b_alpha, b_beta)
-            contrib = np.multiply.outer(a_coeff[block], b_coeff)
-            np.negative(contrib, out=contrib, where=sign.astype(bool))
-            word_keys = ((alpha << m) | beta).ravel()
+            if start and not binned:
+                alpha, beta, sums = _merge(m, alpha, beta, sums)
+            block = slice(start, start + max(1, max(_CHUNK_PAIRS, len(alpha)) // max(1, len(b))))
+            start = block.stop
+            odd, pair_alpha, pair_beta = packed_mul(a.alpha[block, None], a.beta[block, None], b.alpha, b.beta)
+            contrib = np.multiply.outer(a.coeffs[block], b.coeffs)
+            np.negative(contrib, out=contrib, where=odd.view(bool))
+            pairs = (pair_alpha.ravel(), pair_beta.ravel(), contrib.ravel())
             if binned:
-                slots = word_keys.astype(np.intp)
+                np.add.at(sums, (pairs[0] << np.uint64(m) | pairs[1]).astype(np.intp), pairs[2])
+            elif len(sums):
+                alpha, beta, sums = (np.concatenate(column) for column in zip((alpha, beta, sums), pairs))
             else:
-                merged = np.union1d(keys, word_keys)
-                grown = np.zeros(len(merged))
-                grown[np.searchsorted(merged, keys)] = sums
-                keys, sums = merged, grown
-                slots = np.searchsorted(keys, word_keys)
-            np.add.at(sums, slots, contrib.ravel())
+                alpha, beta, sums = pairs
     if binned:
-        hit = np.flatnonzero(sums)
-        keys, sums = hit.astype(np.uint64), sums[hit]
-    return NqaOperator._from_packed(m, keys >> m, keys & ((1 << m) - 1), sums)
+        words = np.flatnonzero(sums)
+        alpha, beta, sums = words >> m, words & ((1 << m) - 1), sums[words]
+    return NqaOperator(m, alpha=alpha, beta=beta, coeffs=sums)
 
 
 def tensor(a: NqaOperator, b: NqaOperator) -> NqaOperator:
     """Slot concatenation; a's slots stay most significant."""
-    m = a.m + b.m
-    acc: dict[NqaWord, float] = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            w = NqaWord(m, wa.alpha << b.m | wb.alpha, wa.beta << b.m | wb.beta)
-            acc[w] = acc.get(w, 0.0) + ca * cb
-    return NqaOperator(m, acc)
+    _check_slots(a.m + b.m)
+    shift = np.uint64(b.m)
+    with np.errstate(over="ignore"):  # the constructor rejects non-finite coefficients
+        coeffs = np.multiply.outer(a.coeffs, b.coeffs).ravel()
+    alpha = (a.alpha[:, None] << shift | b.alpha).ravel()
+    return NqaOperator(a.m + b.m, alpha=alpha, beta=(a.beta[:, None] << shift | b.beta).ravel(), coeffs=coeffs)
 
 
 def op_transpose(a: NqaOperator) -> NqaOperator:
-    return NqaOperator(a.m, {w: (c if word_transpose(w).sign > 0 else -c) for w, c in a.items()})
+    odd = packed_transpose_parity(a.alpha, a.beta).astype(bool)
+    return a._with_coeffs(np.where(odd, -a.coeffs, a.coeffs))
 
 
 def commutator(a: NqaOperator, b: NqaOperator) -> NqaOperator:
@@ -486,10 +470,18 @@ def supercommutator(a: NqaOperator, b: NqaOperator) -> NqaOperator:
 
 def frobenius(a: NqaOperator, b: NqaOperator) -> float:
     """Normalized pairing 2^-m tr(A^T B); words are orthonormal, so it is
-    the plain dot product of coefficient tables."""
+    the dot product of the coefficient tables, summed in the order of the
+    shorter one."""
     a._require_same_m(b)
     small, large = (a, b) if len(a) <= len(b) else (b, a)
-    return sum(c * large.coeff(w) for w, c in small.items())
+    alpha, beta, _ = _stack(large, small, small.coeffs)
+    # a word is at most once in each operator, and the stable sort puts
+    # large's copy first
+    order = np.lexsort((beta, alpha))
+    shared = (alpha[order[1:]] == alpha[order[:-1]]) & (beta[order[1:]] == beta[order[:-1]])
+    partner = np.zeros(len(small))
+    partner[order[1:][shared] - len(large)] = large.coeffs[order[:-1][shared]]
+    return sum((small.coeffs * partner).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +523,10 @@ def from_dense(matrix, *, tol: float = PRUNE_TOL) -> NqaOperator:
     for alpha in range(n):
         gathered[alpha] = M[idx ^ alpha, idx]
     coeffs = (_walsh_last_axis(gathered) / n).ravel()
-    # keys alpha << m | beta; NaN and infinities are kept for the operator's check
+    # rows alpha << m | beta; NaN and infinities are kept for the operator's check
     hit = np.flatnonzero(~(np.abs(coeffs) <= tol))
-    keys = hit.astype(np.uint64)
-    return NqaOperator._from_packed(m, keys >> m, keys & (n - 1), coeffs[hit])
+    words = hit.astype(np.uint64)
+    return NqaOperator(m, alpha=words >> np.uint64(m), beta=words & np.uint64(n - 1), coeffs=coeffs[hit])
 
 
 def to_dense(obj) -> np.ndarray:

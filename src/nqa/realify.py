@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .operators import NqaOperator, op_mul, op_transpose, tensor
-from .words import NqaWord
 
 __all__ = ["ComplexNqaOperator", "phi", "complex_mul", "complex_dagger"]
 
@@ -56,7 +55,7 @@ class ComplexNqaOperator:
     def is_real(self, tol: float = 0.0) -> bool:
         if tol == 0.0:
             return self.im.is_zero()
-        return all(abs(c) <= tol for _, c in self.im.items())
+        return bool(np.all(np.abs(self.im.coeffs) <= tol))
 
     def dagger(self) -> "ComplexNqaOperator":
         return ComplexNqaOperator(self.m, op_transpose(self.re), -op_transpose(self.im))
@@ -130,15 +129,13 @@ def complex_dagger(u: ComplexNqaOperator) -> ComplexNqaOperator:
     return u.dagger()
 
 
-def _shift_word(w: NqaWord, lane_alpha: int, lane_beta: int) -> NqaWord:
-    return NqaWord(w.m + 1, w.alpha << 1 | lane_alpha, w.beta << 1 | lane_beta)
+# the phase lane: I for the real part, W (which squares to -I) for the imaginary part
+_LANE_RE = NqaOperator.from_label("I")
+_LANE_IM = NqaOperator.from_label("W")
 
 
 def phi(u: ComplexNqaOperator | NqaOperator) -> NqaOperator:
     """Realify: real part gains a trailing I, imaginary part a trailing W."""
     if isinstance(u, NqaOperator):
         u = ComplexNqaOperator.from_real(u)
-    acc = {_shift_word(w, 0, 0): c for w, c in u.re.items()}
-    for w, c in u.im.items():
-        acc[_shift_word(w, 1, 1)] = c
-    return NqaOperator(u.m + 1, acc)
+    return tensor(u.re, _LANE_RE) + tensor(u.im, _LANE_IM)

@@ -25,10 +25,9 @@ in each slot with slot 1 most significant.  Per slot that is the numeric
 order of the two-bit digit ((x ^ z) << 1) | z, so `order_key` and its
 packed twin sort words by integer comparison, with no label string built.
 
-Scalar functions operate on NqaWord objects and arbitrary m; the packed_*
-functions are the vectorized engine over numpy uint64 lanes (m <= 64, and
-m <= 32 for packed_order_key) that backs the operator product, dense
-application and decomposition elsewhere.
+Scalar functions operate on NqaWord objects and arbitrary m.  The packed_*
+functions work on numpy uint64 lanes (m <= 64, and m <= 32 for the order
+key); operators store their words as such lanes.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "packed_mul",
     "packed_order_key",
     "packed_transpose_parity",
-    "parity_table",
 ]
 
 _ALPHABET = "IXZW"
@@ -236,42 +234,26 @@ def packed_mul(
     return sign_parity, au ^ av, bu ^ bv
 
 
-_SPREAD_STEPS = tuple(
-    (shift, _PACKED_DTYPE(mask))
-    for shift, mask in (
-        (16, 0x0000FFFF0000FFFF),
-        (8, 0x00FF00FF00FF00FF),
-        (4, 0x0F0F0F0F0F0F0F0F),
-        (2, 0x3333333333333333),
-        (1, 0x5555555555555555),
-    )
-)
+# bit k of a byte moved to bit 2k, for each of the 256 bytes
+_SPREAD_BYTE = np.array([int(format(byte, "b"), 4) for byte in range(256)], dtype=_PACKED_DTYPE)
+_BYTE = _PACKED_DTYPE(0xFF)
 
 
-def _spread_bits(x: np.ndarray) -> np.ndarray:
-    """Move bit k of each 32-bit lane to bit 2k."""
-    x = x & _PACKED_DTYPE(0xFFFFFFFF)
-    for shift, mask in _SPREAD_STEPS:
-        x = (x | (x << _PACKED_DTYPE(shift))) & mask
-    return x
+def _spread_bits(x: np.ndarray, m: int) -> np.ndarray:
+    """Move bit k of each lane below 2^m (m <= 32) to bit 2k, a byte at a time."""
+    out = _SPREAD_BYTE[x if m <= 8 else x & _BYTE]
+    for shift in range(8, m, 8):
+        out |= _SPREAD_BYTE[(x >> _PACKED_DTYPE(shift)) & _BYTE] << _PACKED_DTYPE(2 * shift)
+    return out
 
 
-def packed_order_key(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """order_key on packed words with m <= 32, as uint64."""
+def packed_order_key(alpha: np.ndarray, beta: np.ndarray, m: int = 32) -> np.ndarray:
+    """order_key on packed words of m <= 32 slots, as uint64."""
     a, b = map(_as_packed, (alpha, beta))
-    return (_spread_bits(a ^ b) << _PACKED_DTYPE(1)) | _spread_bits(b)
+    return (_spread_bits(a ^ b, m) << _PACKED_DTYPE(1)) | _spread_bits(b, m)
 
 
 def packed_transpose_parity(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Transpose sign parities, 0 for +1 and 1 for -1, as uint8."""
     a, b = map(_as_packed, (alpha, beta))
     return (np.bitwise_count(a & b) & 1).astype(np.uint8)
-
-
-def parity_table(mask: int, m: int) -> np.ndarray:
-    """Signs (-1)^(mask . x) for every basis index x < 2^m, as float64."""
-    if m > 64:
-        raise DimensionError(f"parity table limited to m <= 64, got {m}")
-    idx = np.arange(1 << m, dtype=_PACKED_DTYPE)
-    bits = np.bitwise_count(idx & _PACKED_DTYPE(mask)) & 1
-    return 1.0 - 2.0 * bits.astype(np.float64)

@@ -1,13 +1,15 @@
-"""Shared test utilities: an independent dense oracle and random generators.
+"""Shared test utilities: an independent dense oracle, the scalar product
+reference and random generators.
 
 dense_word builds matrices straight from the four 2x2 blocks with np.kron,
 so comparisons against it exercise the symbolic layer without trusting its
-own dense bridge.
+own dense bridge.  op_mul_reference multiplies term by term with word_mul,
+so comparisons against it check the columnar op_mul bit for bit.
 """
 
 import numpy as np
 
-from nqa import ComplexNqaOperator, NqaOperator, NqaWord
+from nqa import ComplexNqaOperator, NqaOperator, NqaWord, word_mul
 
 BLOCKS = {
     "I": np.array([[1.0, 0.0], [0.0, 1.0]]),
@@ -30,6 +32,19 @@ def dense_operator(op: NqaOperator) -> np.ndarray:
     for label, coeff in op.to_table():
         out += coeff * dense_word(label)
     return out
+
+
+def op_mul_reference(a: NqaOperator, b: NqaOperator) -> NqaOperator:
+    """The operator product by one word_mul per term pair, each word's
+    contributions added in pair order from 0.0."""
+    acc: dict[NqaWord, float] = {}
+    b_items = list(b.items())
+    for wu, cu in a.items():
+        for wv, cv in b_items:
+            sign, w = word_mul(wu, wv)
+            contrib = cu * cv if sign > 0 else -(cu * cv)
+            acc[w] = acc.get(w, 0.0) + contrib
+    return NqaOperator(a.m, acc)
 
 
 def dense_complex(op: ComplexNqaOperator) -> np.ndarray:

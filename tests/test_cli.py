@@ -58,6 +58,30 @@ def test_eval_errors_exit_2(capsys):
     assert "column" in err
 
 
+def test_json_errors(capsys):
+    cases = [
+        (["eval", "X(", "--json"], "ParseError", "gate arguments are scalars", 3),
+        (["eval", "--json", "1/2 + X"], "EvaluationError", "cannot add a scalar and an operator", 5),
+        (["eval", "S(1,1)", "--json"], "EvaluationError", None, None),
+        (["grover", "--m", "3", "--marked", "11", "--json"], "DimensionError", None, None),
+        (["eval", "Z(65)", "--json"], "EvaluationError", "operators are capped at m <= 64 slots, got m=65", 1),
+    ]
+    for argv, kind, message, column in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        payload = json.loads(err)
+        assert sorted(payload) == ["column", "error", "kind"]
+        assert payload["kind"] == kind and payload["column"] == column
+        if message is not None:
+            assert payload["error"] == message
+        # the same error without --json keeps its text line
+        code, out, plain = run(capsys, *[a for a in argv if a != "--json"])
+        assert code == 2 and out == ""
+        prefix = "" if column is None else f"column {column}: "
+        assert plain == f"error: {prefix}{payload['error']}\n"
+
+
 def test_decompose(tmp_path, capsys):
     target = tmp_path / "mat.json"
     target.write_text("[[0, 1], [1, 0]]")

@@ -28,6 +28,24 @@ def test_scalar_forms():
     assert evaluate("3/4*W").to_table() == [("W", 0.75)]
 
 
+def test_exponent_scalars():
+    assert evaluate("2.5e-3*X").to_table() == [("X", 0.0025)]
+    assert evaluate("1E2*X + 3e+1*Z").to_table() == [("X", 100.0), ("Z", 30.0)]
+    assert evaluate("RY(5e-1,1,1)") == evaluate("RY(0.5,1,1)")
+    assert evaluate("H(1e0)") == evaluate("H(1)")
+    # absolute pruning still drops tiny coefficients
+    assert evaluate("1e-15*X").is_zero()
+    # no digits after the e: the e stays a (bad) word, as before
+    with pytest.raises(ParseError, match="'e' is neither a word"):
+        parse("2e*X")
+    with pytest.raises(ParseError):
+        parse("2e-*X")
+    with pytest.raises(ParseError, match="rational scalars need integer parts"):
+        parse("1e3/2*X")
+    with pytest.raises(EvaluationError, match="slot must be a nonnegative integer"):
+        evaluate("H(1e400)")
+
+
 def test_gate_products():
     # 1/sqrt(2) is not dyadic, so the conjugation lands a couple of ulp off
     conj = evaluate("H(1,1)*Z(1,1)*H(1,1)").to_table()
@@ -172,6 +190,8 @@ def test_format_round_trip_stability():
         "PROJ(01,1,2)",
         "X*(Z*W)",
         "X(x)(Z(x)W)",
+        "2.5e-3*X + 1E2*(Z - 3e+1*W)",
+        "RY(-5e-1,1,1)",
     ]
     for src in cases:
         once = format_expr(parse(src))
@@ -187,6 +207,7 @@ def test_format_examples():
     assert format_expr(parse("h(1,1)")) == "H(1,1)"
     assert format_expr(parse("X(x)Z*W(x)I")) == "X(x)Z*W(x)I"
     assert format_expr(parse("2(II+ZZ)")) == "2*(II + ZZ)"
+    assert format_expr(parse("2.5e-3X+1E+2*Z")) == "2.5e-3*X + 1E+2*Z"
 
 
 def test_evaluate_accepts_parsed_nodes():

@@ -224,7 +224,12 @@ def test_order_key_is_label_order_property(m, data):
 def test_packed_order_key_matches_scalar(m, data):
     bits = st.integers(0, (1 << m) - 1)
     words = data.draw(st.lists(st.builds(NqaWord, st.just(m), bits, bits), min_size=1, max_size=40))
-    assert _packed_keys(words).tolist() == [order_key(w) for w in words]
+    want = [order_key(w) for w in words]
+    assert _packed_keys(words).tolist() == want
+    # the slot count, when given, only skips the bytes above it
+    alpha = np.array([w.alpha for w in words], dtype=np.uint64)
+    beta = np.array([w.beta for w in words], dtype=np.uint64)
+    assert packed_order_key(alpha, beta, m).tolist() == want
 
 
 def test_str_and_repr():
